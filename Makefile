@@ -3,7 +3,7 @@
 
 CARGO ?= cargo
 
-.PHONY: all build test test-all bench bench-check bench-baseline bench-regress sim-parity sweep-check spec-check family-rank-check serve-check verify-exhaustive lint-custom loom-check loom-check-full doc fmt fmt-check clippy examples figures scale ci clean
+.PHONY: all build test test-all bench bench-check bench-baseline bench-regress bench-selftest sim-parity sweep-check spec-check family-rank-check serve-check verify-exhaustive lint-custom loom-check loom-check-full doc fmt fmt-check clippy examples figures scale ci clean
 
 ## The checked-in perf baseline this PR's trajectory is gated against.
 ## Convention: one BENCH_<pr>.json per PR that moved performance; the
@@ -76,6 +76,14 @@ bench-regress:
 	  done; \
 	  exit $$st; \
 	fi
+
+## Repository-benchmark self-test: build perfbench/ (its own cargo
+## workspace, so `cargo build` at the root never compiles it) against the
+## current library crates and run every BENCHMARK.json workload at small
+## scale, untraced and traced, checking correctness and that every named
+## metric is printed. About 25 s on a 2-core host.
+bench-selftest:
+	python3 perfbench/selftest.py
 
 ## Distributed-vs-centralized parity gate: the curated parity suite, the
 ## randomized parity proptests, and the distributed fabric bench (whose
@@ -221,7 +229,7 @@ scale:
 	$(CARGO) run -q --release -p selfheal-experiments -- scale
 
 ## The full CI gate.
-ci: fmt-check clippy build test-all doc bench-check bench-regress sim-parity sweep-check spec-check family-rank-check serve-check verify-exhaustive lint-custom loom-check
+ci: fmt-check clippy build test-all doc bench-check bench-regress bench-selftest sim-parity sweep-check spec-check family-rank-check serve-check verify-exhaustive lint-custom loom-check
 	@echo "ci green"
 
 clean:

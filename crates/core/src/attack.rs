@@ -4,16 +4,16 @@
 //! (including healing edges) when choosing the next victim. The paper
 //! evaluates two main strategies — [`MaxNode`] and [`NeighborOfMax`]
 //! (which it finds the most damaging for degree increase) — and this
-//! module adds [`RandomAttack`], [`MinDegree`] and [`Scripted`] for
-//! tests and extra experiments.
+//! module adds [`RandomAttack`] and [`MinDegree`] for tests and extra
+//! experiments. Each is an [`EventSource`] emitting one `Delete` event
+//! per round.
 //!
 //! ## The structural adversary library
 //!
 //! Trehan's dissertation stresses *adaptive* adversaries that target
 //! structure rather than pick uniformly, so beyond the single-victim
-//! [`Adversary`] trait (whose implementors drive the engine through the
-//! blanket `EventSource` adapter) this module carries event-level
-//! adversaries that exercise the full reconfiguration vocabulary:
+//! strategies this module carries adversaries that exercise the full
+//! reconfiguration vocabulary:
 //!
 //! - [`CutVertex`] — delete the highest-degree articulation point
 //!   (single victims, maximally disconnective);
@@ -33,40 +33,17 @@ use selfheal_graph::NodeId;
 use selfheal_sim::SplitMix64;
 use std::collections::VecDeque;
 
-/// An adversary that chooses one victim per round.
-///
-/// `Send` is a supertrait so boxed adversaries (and the engines holding
-/// them) can migrate across the serving layer's worker threads; every
-/// adversary is plain owned data, so the bound costs nothing.
-pub trait Adversary: Send {
-    /// Short stable name used in tables and benchmarks.
-    fn name(&self) -> &'static str;
-
-    /// The next node to delete, or `None` to stop (e.g. network empty).
-    fn pick(&mut self, net: &HealingNetwork) -> Option<NodeId>;
-}
-
-impl<A: Adversary + ?Sized> Adversary for Box<A> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
-    fn pick(&mut self, net: &HealingNetwork) -> Option<NodeId> {
-        (**self).pick(net)
-    }
-}
-
 /// Delete the current maximum-degree node (ties → lowest id).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MaxNode;
 
-impl Adversary for MaxNode {
+impl EventSource for MaxNode {
     fn name(&self) -> &'static str {
         "max-node"
     }
 
-    fn pick(&mut self, net: &HealingNetwork) -> Option<NodeId> {
-        net.graph().max_degree_node()
+    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
+        net.graph().max_degree_node().map(NetworkEvent::Delete)
     }
 }
 
@@ -90,19 +67,18 @@ impl NeighborOfMax {
     }
 }
 
-impl Adversary for NeighborOfMax {
+impl EventSource for NeighborOfMax {
     fn name(&self) -> &'static str {
         "neighbor-of-max"
     }
 
-    fn pick(&mut self, net: &HealingNetwork) -> Option<NodeId> {
+    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
         let hub = net.graph().max_degree_node()?;
-        let nbrs = net.graph().neighbors(hub);
-        if nbrs.is_empty() {
-            Some(hub)
-        } else {
-            Some(*self.rng.choose(nbrs))
-        }
+        let victim = match net.graph().neighbors(hub) {
+            [] => hub,
+            nbrs => *self.rng.choose(nbrs),
+        };
+        Some(NetworkEvent::Delete(victim))
     }
 }
 
@@ -121,21 +97,21 @@ impl RandomAttack {
     }
 }
 
-impl Adversary for RandomAttack {
+impl EventSource for RandomAttack {
     fn name(&self) -> &'static str {
         "random"
     }
 
-    fn pick(&mut self, net: &HealingNetwork) -> Option<NodeId> {
+    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
         // Rank-select on the graph's Fenwick live index: identical draws
         // to choosing from the collected (ascending) live list.
         let live = net.graph().live_node_count();
         if live == 0 {
-            None
-        } else {
-            net.graph()
-                .nth_live(self.rng.gen_range(live as u64) as usize)
+            return None;
         }
+        net.graph()
+            .nth_live(self.rng.gen_range(live as u64) as usize)
+            .map(NetworkEvent::Delete)
     }
 }
 
@@ -144,13 +120,13 @@ impl Adversary for RandomAttack {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct MinDegree;
 
-impl Adversary for MinDegree {
+impl EventSource for MinDegree {
     fn name(&self) -> &'static str {
         "min-degree"
     }
 
-    fn pick(&mut self, net: &HealingNetwork) -> Option<NodeId> {
-        net.graph().min_degree_node()
+    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
+        net.graph().min_degree_node().map(NetworkEvent::Delete)
     }
 }
 
@@ -166,17 +142,18 @@ impl Adversary for MinDegree {
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CutVertex;
 
-impl Adversary for CutVertex {
+impl EventSource for CutVertex {
     fn name(&self) -> &'static str {
         "cut-vertex"
     }
 
-    fn pick(&mut self, net: &HealingNetwork) -> Option<NodeId> {
+    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
         let g = net.graph();
         let aps = selfheal_graph::cuts::articulation_points(g);
         aps.into_iter()
             .max_by_key(|&v| (g.degree(v), std::cmp::Reverse(v)))
             .or_else(|| g.max_degree_node())
+            .map(NetworkEvent::Delete)
     }
 }
 
@@ -409,47 +386,6 @@ impl EventSource for RackPartition {
     }
 }
 
-/// Replay a fixed victim sequence (dead or unknown ids are skipped).
-/// Used by the LEVELATTACK driver and by regression tests.
-#[derive(Clone, Debug, Default)]
-pub struct Scripted {
-    queue: VecDeque<NodeId>,
-}
-
-impl Scripted {
-    /// Script the given victim order.
-    pub fn new<I: IntoIterator<Item = NodeId>>(victims: I) -> Self {
-        Scripted {
-            queue: victims.into_iter().collect(),
-        }
-    }
-
-    /// Append another victim.
-    pub fn push(&mut self, v: NodeId) {
-        self.queue.push_back(v);
-    }
-
-    /// Victims not yet replayed.
-    pub fn remaining(&self) -> usize {
-        self.queue.len()
-    }
-}
-
-impl Adversary for Scripted {
-    fn name(&self) -> &'static str {
-        "scripted"
-    }
-
-    fn pick(&mut self, net: &HealingNetwork) -> Option<NodeId> {
-        while let Some(v) = self.queue.pop_front() {
-            if net.is_alive(v) {
-                return Some(v);
-            }
-        }
-        None
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -462,7 +398,10 @@ mod tests {
     #[test]
     fn max_node_picks_the_hub() {
         let net = star_net();
-        assert_eq!(MaxNode.pick(&net), Some(NodeId(0)));
+        assert_eq!(
+            MaxNode.next_event(&net),
+            Some(NetworkEvent::Delete(NodeId(0)))
+        );
     }
 
     #[test]
@@ -470,11 +409,10 @@ mod tests {
         let net = star_net();
         let mut a = NeighborOfMax::new(5);
         for _ in 0..10 {
-            let v = a.pick(&net).unwrap();
-            assert_ne!(
-                v,
-                NodeId(0),
-                "NMS must not pick the hub while it has neighbors"
+            let ev = a.next_event(&net);
+            assert!(
+                matches!(ev, Some(NetworkEvent::Delete(v)) if v != NodeId(0)),
+                "NMS must not pick the hub while it has neighbors: {ev:?}"
             );
         }
     }
@@ -484,7 +422,7 @@ mod tests {
         let g = selfheal_graph::Graph::new(1);
         let net = HealingNetwork::new(g, 0);
         let mut a = NeighborOfMax::new(1);
-        assert_eq!(a.pick(&net), Some(NodeId(0)));
+        assert_eq!(a.next_event(&net), Some(NetworkEvent::Delete(NodeId(0))));
     }
 
     #[test]
@@ -492,7 +430,7 @@ mod tests {
         let net = star_net();
         let picks = |seed: u64| {
             let mut a = RandomAttack::new(seed);
-            (0..5).map(|_| a.pick(&net).unwrap()).collect::<Vec<_>>()
+            (0..5).map(|_| a.next_event(&net)).collect::<Vec<_>>()
         };
         assert_eq!(picks(9), picks(9));
     }
@@ -500,18 +438,19 @@ mod tests {
     #[test]
     fn min_degree_picks_a_spoke() {
         let net = star_net();
-        let v = MinDegree.pick(&net).unwrap();
-        assert_ne!(v, NodeId(0));
+        let ev = MinDegree.next_event(&net);
+        assert!(matches!(ev, Some(NetworkEvent::Delete(v)) if v != NodeId(0)));
     }
 
     #[test]
     fn adversaries_return_none_on_empty_network() {
         let mut net = HealingNetwork::new(selfheal_graph::Graph::new(1), 0);
         net.delete_node(NodeId(0)).unwrap();
-        assert_eq!(MaxNode.pick(&net), None);
-        assert_eq!(MinDegree.pick(&net), None);
-        assert_eq!(NeighborOfMax::new(0).pick(&net), None);
-        assert_eq!(RandomAttack::new(0).pick(&net), None);
+        assert_eq!(MaxNode.next_event(&net), None);
+        assert_eq!(MinDegree.next_event(&net), None);
+        assert_eq!(NeighborOfMax::new(0).next_event(&net), None);
+        assert_eq!(RandomAttack::new(0).next_event(&net), None);
+        assert_eq!(CutVertex.next_event(&net), None);
     }
 
     #[test]
@@ -522,15 +461,21 @@ mod tests {
             g.add_edge(NodeId(a), NodeId(b)).unwrap();
         }
         let net = HealingNetwork::new(g, 0);
-        let v = CutVertex.pick(&net).unwrap();
-        assert!(v == NodeId(2) || v == NodeId(3));
+        let ev = CutVertex.next_event(&net);
+        assert!(
+            ev == Some(NetworkEvent::Delete(NodeId(2)))
+                || ev == Some(NetworkEvent::Delete(NodeId(3)))
+        );
     }
 
     #[test]
     fn cut_vertex_falls_back_on_biconnected_graphs() {
         let g = selfheal_graph::generators::complete_graph(5);
         let net = HealingNetwork::new(g, 0);
-        assert_eq!(CutVertex.pick(&net), Some(NodeId(0)));
+        assert_eq!(
+            CutVertex.next_event(&net),
+            Some(NetworkEvent::Delete(NodeId(0)))
+        );
     }
 
     #[test]
@@ -637,16 +582,5 @@ mod tests {
                 assert_eq!(same, 0, "tags {a:#x} and {b:#x} collide");
             }
         }
-    }
-
-    #[test]
-    fn scripted_skips_dead_victims() {
-        let mut net = star_net();
-        net.delete_node(NodeId(2)).unwrap();
-        let mut s = Scripted::new(vec![NodeId(2), NodeId(3), NodeId(1)]);
-        assert_eq!(s.pick(&net), Some(NodeId(3)));
-        assert_eq!(s.remaining(), 1);
-        assert_eq!(s.pick(&net), Some(NodeId(1)));
-        assert_eq!(s.pick(&net), None);
     }
 }

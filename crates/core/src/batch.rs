@@ -110,8 +110,7 @@ pub struct BatchOutcome {
 }
 
 /// Heal after a batch deletion: run the healer on each context in victim
-/// order, then broadcast IDs once per reconstruction set — unless the
-/// healer opts out of ID propagation (oracle strategies), exactly as the
+/// order, then broadcast IDs once per reconstruction set, exactly as the
 /// single-deletion path does.
 ///
 /// Per-victim broadcasts belong to one healing round, so their accounting
@@ -131,12 +130,9 @@ pub fn heal_batch<H: Healer>(
 ) -> BatchOutcome {
     let mut outcomes = Vec::with_capacity(contexts.len());
     let mut propagation = PropagationReport::default();
-    let broadcast = healer.needs_id_propagation();
     for ctx in contexts {
         let outcome = healer.heal(net, ctx);
-        if broadcast {
-            propagation.merge(net.propagate_min_id_uniform(&outcome.rt_members));
-        }
+        propagation.merge(net.propagate_min_id_uniform(&outcome.rt_members));
         outcomes.push(outcome);
     }
     BatchOutcome {

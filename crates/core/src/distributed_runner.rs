@@ -2,7 +2,7 @@
 //! drives [`DistributedDash`] on the `selfheal-sim` fabric through the
 //! same [`NetworkEvent`] vocabulary the centralized engine consumes.
 //!
-//! The runner replicates the engine's event sanitization *exactly* —
+//! The runner shares the engine's event sanitization code —
 //! dead victims no-op, batches thin to independent sets keeping earlier
 //! victims, joins drop dead targets and skip when every target died —
 //! so a schedule replayed against both produces the same effective
@@ -23,7 +23,7 @@
 //! (messages add across a round's victims, Lemma 8).
 
 use crate::distributed::{DistributedDash, HealMode};
-use crate::scenario::{sanitize_batch, sanitize_join, EventKind, NetworkEvent};
+use crate::scenario::{is_noop, sanitize_batch, sanitize_join, EventKind, NetworkEvent};
 use selfheal_graph::Graph;
 use selfheal_sim::{BatchSchedule, SimMetrics, Simulator, Topology};
 
@@ -175,15 +175,23 @@ impl DistributedScenarioRunner {
         self.sim.set_batch_schedule(schedule);
     }
 
-    /// Apply one event: sanitize (engine rules), reconfigure the fabric,
-    /// and drain to quiescence. Returns what happened.
+    /// Apply one event: skip it if it is a no-op ([`is_noop`]), else
+    /// sanitize (engine rules), reconfigure the fabric, and drain to
+    /// quiescence. Returns what happened.
     pub fn apply(&mut self, event: &NetworkEvent) -> DistEventRecord {
         self.report.events += 1;
-        let record = match event {
-            NetworkEvent::Delete(v) => self.apply_delete(v.0),
-            NetworkEvent::DeleteBatch(victims) => self.apply_batch(victims),
-            NetworkEvent::Join { neighbors } => self.apply_join(neighbors),
-        };
+        let mut record = DistEventRecord::empty(self.report.events, event.kind());
+        if let NetworkEvent::Delete(v) = event {
+            record.deleted = Some(v.0);
+        }
+        let topology = &self.sim.topology;
+        if !is_noop(event, |v| topology.is_alive(v.0)) {
+            match event {
+                NetworkEvent::Delete(v) => self.apply_delete(v.0, &mut record),
+                NetworkEvent::DeleteBatch(victims) => self.apply_batch(victims, &mut record),
+                NetworkEvent::Join { neighbors } => self.apply_join(neighbors, &mut record),
+            }
+        }
         self.report.total_messages += record.messages;
         self.report.total_delivered += record.delivered;
         self.report.total_dropped += record.dropped;
@@ -203,23 +211,16 @@ impl DistributedScenarioRunner {
         record.dropped = q.dropped;
     }
 
-    fn apply_delete(&mut self, v: u32) -> DistEventRecord {
-        let mut record = DistEventRecord::empty(self.report.events, EventKind::Delete);
-        record.deleted = Some(v);
-        if !self.sim.topology.is_alive(v) {
-            return record;
-        }
+    fn apply_delete(&mut self, v: u32, record: &mut DistEventRecord) {
         self.report.rounds += 1;
         self.report.deletions += 1;
         record.victims = 1;
         let sent_before = self.sim.metrics.total_sent();
         self.sim.delete_node(v);
-        self.drain_into(&mut record, sent_before);
-        record
+        self.drain_into(record, sent_before);
     }
 
-    fn apply_batch(&mut self, victims: &[selfheal_graph::NodeId]) -> DistEventRecord {
-        let mut record = DistEventRecord::empty(self.report.events, EventKind::DeleteBatch);
+    fn apply_batch(&mut self, victims: &[selfheal_graph::NodeId], record: &mut DistEventRecord) {
         // Engine-identical by construction: the same `sanitize_batch` the
         // scenario engine runs, over the fabric's topology.
         let topology = &self.sim.topology;
@@ -229,9 +230,6 @@ impl DistributedScenarioRunner {
             |v| topology.is_alive(v),
             |u, v| topology.has_edge(u, v),
         );
-        if self.batch.is_empty() {
-            return record;
-        }
         self.report.rounds += 1;
         self.report.deletions += self.batch.len() as u64;
         record.victims = self.batch.len();
@@ -239,28 +237,20 @@ impl DistributedScenarioRunner {
         let batch = std::mem::take(&mut self.batch);
         self.sim.delete_batch(&batch);
         self.batch = batch;
-        self.drain_into(&mut record, sent_before);
-        record
+        self.drain_into(record, sent_before);
     }
 
-    fn apply_join(&mut self, neighbors: &[selfheal_graph::NodeId]) -> DistEventRecord {
-        let mut record = DistEventRecord::empty(self.report.events, EventKind::Join);
-        // Engine-identical by construction (shared `sanitize_join`): a
-        // join whose (non-empty) target list sanitizes to nothing is
-        // skipped, an explicitly empty list creates an isolated node.
+    fn apply_join(&mut self, neighbors: &[selfheal_graph::NodeId], record: &mut DistEventRecord) {
+        // Engine-identical by construction (shared `sanitize_join`).
         let topology = &self.sim.topology;
         sanitize_join(&mut self.batch, neighbors.iter().map(|v| v.0), |u| {
             topology.is_alive(u)
         });
-        if self.batch.is_empty() && !neighbors.is_empty() {
-            return record;
-        }
         let batch = std::mem::take(&mut self.batch);
         let joined = self.sim.join_node(&batch);
         self.batch = batch;
         self.report.joins += 1;
         record.joined = Some(joined);
-        record
     }
 }
 

@@ -20,7 +20,7 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let g = barabasi_albert(100, 3, &mut rng);
 //! let net = HealingNetwork::new(g, 1);
-//! // Any Adversary is an EventSource: its picks become Delete events.
+//! // Every attack strategy is an EventSource emitting Delete events.
 //! let mut engine = ScenarioEngine::new(net, Dash, NeighborOfMax::new(1))
 //!     .with_audit(AuditLevel::Cheap);
 //! let report = engine.run_to_empty();
@@ -36,14 +36,12 @@ pub mod batch;
 pub mod dash;
 pub mod distributed;
 pub mod distributed_runner;
-pub mod engine;
 pub mod exhaustive;
 pub mod explore;
 pub mod ftree;
 pub mod invariants;
 pub mod levelattack;
 pub mod naive;
-pub mod oracle;
 pub mod ring;
 pub mod rt;
 pub mod scenario;
@@ -57,14 +55,13 @@ pub mod sweep;
 pub use dash::Dash;
 pub use distributed::{DistributedDash, HealMode};
 pub use distributed_runner::{DistEventRecord, DistScenarioReport, DistributedScenarioRunner};
-pub use engine::{AuditLevel, Engine, EngineReport};
 pub use exhaustive::{run_universe, SmallGraph, UniverseConfig, UniverseReport};
 pub use explore::{check_seeded_orders, explore_events, ExplorerConfig, ExplorerReport};
 pub use ftree::ForgivingTree;
 pub use invariants::{FamilyAuditor, TheoremAuditor, TheoremBounds};
 pub use ring::RingForgiving;
 pub use scenario::{
-    EventRecord, EventSource, NetworkEvent, Observer, ScenarioEngine, ScenarioReport,
+    AuditLevel, EventRecord, EventSource, NetworkEvent, Observer, ScenarioEngine, ScenarioReport,
 };
 pub use sdash::Sdash;
 pub use snapshot::StateSnapshot;

@@ -5,14 +5,14 @@
 //! per footnote 1), new nodes join, and after every event the healer
 //! reconnects and the minimum component ID is broadcast. Earlier
 //! revisions of this repo drove those three shapes through three disjoint
-//! code paths (`engine::Engine` for one victim per round, free functions
-//! in [`crate::batch`] for independent-set batches, and hand-rolled churn
+//! code paths (a one-victim-per-round loop, free functions in
+//! [`crate::batch`] for independent-set batches, and hand-rolled churn
 //! loops in tests). This module unifies them:
 //!
 //! - [`NetworkEvent`] — the vocabulary: `Delete`, `DeleteBatch`, `Join`;
 //! - [`EventSource`] — anything that emits events against the evolving
-//!   network; every [`Adversary`](crate::attack::Adversary) is one via a
-//!   blanket adapter (its picks become `Delete` events);
+//!   network, from the single-victim attack strategies of
+//!   [`crate::attack`] to scripted schedules and churn;
 //! - [`Observer`] — a pluggable per-event hook (invariant auditing,
 //!   metric-series collection and record logging all plug in here);
 //! - [`ScenarioEngine`] — the one loop that consumes any event stream.
@@ -26,11 +26,9 @@
 //! round — those are proportional to the reconstruction set, not to
 //! `n`.)
 //!
-//! For a pure `Delete` stream the engine is round-for-round identical to
-//! the legacy [`Engine`](crate::engine::Engine) shim — `tests/golden.rs`
-//! pins that equivalence to exact message/edge counts.
+//! `tests/golden.rs` pins the engine's pure-`Delete` runs to exact
+//! message/edge counts.
 
-use crate::attack::Adversary;
 use crate::batch::{delete_validated_batch, heal_batch, independent_victims};
 use crate::invariants;
 use crate::state::{DeletionContext, HealingNetwork, PropagationReport};
@@ -76,6 +74,24 @@ pub(crate) fn sanitize_join<T: Copy + PartialEq>(
     }
 }
 
+/// Whether `event` would change nothing, given node liveness: a dead
+/// single victim, a batch whose victims are all dead, or a non-empty
+/// join whose targets are all dead (an explicitly empty join creates an
+/// isolated node, so it does progress). The one no-op rule, shared by
+/// [`ScenarioEngine`], the distributed
+/// [`DistributedScenarioRunner`](crate::distributed_runner::DistributedScenarioRunner)
+/// and the serving layer's shards. Events it passes always survive
+/// `sanitize_batch` / `sanitize_join` with at least one node.
+pub fn is_noop(event: &NetworkEvent, mut is_alive: impl FnMut(NodeId) -> bool) -> bool {
+    match event {
+        NetworkEvent::Delete(v) => !is_alive(*v),
+        NetworkEvent::DeleteBatch(vs) => !vs.iter().any(|&v| is_alive(v)),
+        NetworkEvent::Join { neighbors } => {
+            !neighbors.is_empty() && !neighbors.iter().any(|&v| is_alive(v))
+        }
+    }
+}
+
 /// Which (increasingly expensive) checks to run after every event.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub enum AuditLevel {
@@ -107,6 +123,17 @@ pub enum NetworkEvent {
         /// Attachment targets for the joining node.
         neighbors: Vec<NodeId>,
     },
+}
+
+impl NetworkEvent {
+    /// The [`EventKind`] an [`EventRecord`] of this event carries.
+    pub(crate) fn kind(&self) -> EventKind {
+        match self {
+            NetworkEvent::Delete(_) => EventKind::Delete,
+            NetworkEvent::DeleteBatch(_) => EventKind::DeleteBatch,
+            NetworkEvent::Join { .. } => EventKind::Join,
+        }
+    }
 }
 
 impl std::fmt::Display for NetworkEvent {
@@ -178,10 +205,6 @@ impl std::str::FromStr for NetworkEvent {
 
 /// A stream of [`NetworkEvent`]s generated against the evolving network.
 ///
-/// Every [`Adversary`] is an `EventSource` via the blanket adapter below:
-/// its per-round victim picks become `Delete` events, so any existing
-/// attack strategy drives the unified engine unchanged (and on the same
-/// RNG stream).
 /// `Send` is a supertrait so boxed sources (and the engines holding
 /// them) can migrate across the serving layer's worker threads.
 pub trait EventSource: Send {
@@ -192,24 +215,10 @@ pub trait EventSource: Send {
     fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent>;
 }
 
-impl<A: Adversary> EventSource for A {
-    fn name(&self) -> &'static str {
-        Adversary::name(self)
-    }
-
-    fn next_event(&mut self, net: &HealingNetwork) -> Option<NetworkEvent> {
-        self.pick(net).map(NetworkEvent::Delete)
-    }
-}
-
-/// Boxed dynamic sources are sources themselves (mirroring the
-/// `Box<H: Healer>` blanket in [`crate::strategy`]), so registry-built
-/// `Box<dyn EventSource>` values plug straight into [`ScenarioEngine`]
-/// without generics gymnastics. (A fully generic `Box<S>` impl would
-/// overlap the [`Adversary`] adapter above — every sized adversary is
-/// already an `EventSource`, hence so is its box — so the impl is
-/// written for the trait object, the one case the adapter cannot reach.)
-impl EventSource for Box<dyn EventSource> {
+/// Boxed sources are sources themselves (mirroring the `Box<H: Healer>`
+/// blanket in [`crate::strategy`]), so registry-built
+/// `Box<dyn EventSource>` values plug straight into [`ScenarioEngine`].
+impl<S: EventSource + ?Sized> EventSource for Box<S> {
     fn name(&self) -> &'static str {
         (**self).name()
     }
@@ -219,9 +228,8 @@ impl EventSource for Box<dyn EventSource> {
     }
 }
 
-/// Replay a fixed event schedule. Unlike `attack::Scripted` (which skips
-/// dead victims at pick time) the schedule is replayed verbatim; the
-/// engine's sanitization makes stale references harmless no-ops, so
+/// Replay a fixed event schedule verbatim. The engine's sanitization
+/// makes stale references harmless no-ops (see [`is_noop`]), so
 /// schedules can be written (or generated) without tracking liveness.
 #[derive(Clone, Debug, Default)]
 pub struct ScriptedEvents {
@@ -518,9 +526,7 @@ impl Observer for AuditObserver {
     }
 }
 
-/// Aggregate statistics over a scenario run. A superset of the legacy
-/// `EngineReport`: for pure `Delete` streams `rounds`/`deletions`/totals
-/// coincide with the old per-round accounting exactly.
+/// Aggregate statistics over a scenario run.
 #[derive(Clone, Debug, Default)]
 pub struct ScenarioReport {
     /// Events consumed (all kinds, including sanitized no-ops).
@@ -583,13 +589,13 @@ pub struct ScenarioEngine<H: Healer, S: EventSource> {
     consecutive_noops: u64,
 }
 
-/// How many consecutive sanitized no-op events (dead victims, skipped
-/// joins) the engine tolerates before panicking. Finite scripted
-/// schedules with stale references stay well under this; only an event
-/// source stuck in a loop — e.g. an adversary with the classic
-/// pick-a-dead-node bug, which the legacy engine caught with a panic —
-/// can reach it, and a loud failure beats a silent infinite
-/// `run_to_empty`.
+/// How many consecutive no-op events (see [`is_noop`]) a source-driven
+/// loop ([`ScenarioEngine::step`] and the run methods) tolerates before
+/// panicking. Finite scripted schedules with stale references stay well
+/// under this; only an event source stuck in a loop — e.g. an adversary
+/// with the classic pick-a-dead-node bug — can reach it, and a loud
+/// failure beats a silent infinite `run_to_empty`. Externally applied
+/// events ([`ScenarioEngine::apply`]) are never counted.
 pub const NO_PROGRESS_LIMIT: u64 = 4096;
 
 impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
@@ -638,29 +644,13 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
     }
 
     /// [`ScenarioEngine::step`] with an external observer.
-    pub fn step_with(&mut self, observer: &mut dyn Observer) -> Option<EventRecord> {
-        let event = self.source.next_event(&self.net)?;
-        Some(self.apply_with(event, observer))
-    }
-
-    /// Apply one externally supplied event (bypassing the source).
-    pub fn apply(&mut self, event: NetworkEvent) -> EventRecord {
-        self.apply_with(event, &mut NullObserver)
-    }
-
-    /// [`ScenarioEngine::apply`] with an external observer.
     ///
     /// # Panics
     /// Panics after [`NO_PROGRESS_LIMIT`] consecutive no-op events — the
-    /// signature of an event source stuck on dead nodes (the bug the
-    /// legacy engine's "adversary picked a dead node" panic caught).
-    pub fn apply_with(&mut self, event: NetworkEvent, observer: &mut dyn Observer) -> EventRecord {
-        self.report.events += 1;
-        let record = match event {
-            NetworkEvent::Delete(v) => self.apply_delete(v),
-            NetworkEvent::DeleteBatch(victims) => self.apply_batch(&victims),
-            NetworkEvent::Join { neighbors } => self.apply_join(&neighbors),
-        };
+    /// signature of an event source stuck on dead nodes.
+    pub fn step_with(&mut self, observer: &mut dyn Observer) -> Option<EventRecord> {
+        let event = self.source.next_event(&self.net)?;
+        let record = self.apply_with(event, observer);
         if record.victims == 0 && record.joined.is_none() {
             self.consecutive_noops += 1;
             assert!(
@@ -671,6 +661,31 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
             );
         } else {
             self.consecutive_noops = 0;
+        }
+        Some(record)
+    }
+
+    /// Apply one externally supplied event (bypassing the source).
+    pub fn apply(&mut self, event: NetworkEvent) -> EventRecord {
+        self.apply_with(event, &mut NullObserver)
+    }
+
+    /// [`ScenarioEngine::apply`] with an external observer. A no-op
+    /// event (see [`is_noop`]) yields a record with no victims and no
+    /// joined node; `apply` never panics on any event.
+    pub fn apply_with(&mut self, event: NetworkEvent, observer: &mut dyn Observer) -> EventRecord {
+        self.report.events += 1;
+        let mut record = EventRecord::empty(self.report.events, self.report.rounds, event.kind());
+        if let NetworkEvent::Delete(v) = event {
+            record.deleted = Some(v);
+        }
+        let net = &self.net;
+        if !is_noop(&event, |v| net.is_alive(v)) {
+            match event {
+                NetworkEvent::Delete(v) => self.apply_delete(v, &mut record),
+                NetworkEvent::DeleteBatch(victims) => self.apply_batch(&victims, &mut record),
+                NetworkEvent::Join { neighbors } => self.apply_join(&neighbors, &mut record),
+            }
         }
         observer.on_event(&self.net, &record);
         self.audit.on_event(&self.net, &record);
@@ -749,22 +764,16 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
         }
     }
 
-    fn apply_delete(&mut self, v: NodeId) -> EventRecord {
-        let mut record =
-            EventRecord::empty(self.report.events, self.report.rounds, EventKind::Delete);
-        record.deleted = Some(v);
-        if !self.net.is_alive(v) {
-            return record;
-        }
+    fn apply_delete(&mut self, v: NodeId, record: &mut EventRecord) {
         self.report.rounds += 1;
         self.report.deletions += 1;
         record.round = self.report.rounds;
         record.victims = 1;
         self.net
             .delete_node_into(v, &mut self.ctx)
-            // panic-ok: the step dispatcher verified `v` is alive before
-            // routing the delete here.
-            .expect("liveness checked above");
+            // panic-ok: `apply_with` routes only live victims here (the
+            // `is_noop` rule).
+            .expect("victim is alive");
         // The engine's heal flow keeps every G' component ID-uniform
         // (healers connect exactly the members they then seed), so the
         // broadcast can take the restricted fast path — see
@@ -774,11 +783,7 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
         let mut outcome = std::mem::take(&mut self.outcome);
         self.healer
             .heal_into(&mut self.net, &self.ctx, &mut outcome);
-        let propagation = if self.healer.needs_id_propagation() {
-            self.net.propagate_min_id_uniform(&outcome.rt_members)
-        } else {
-            PropagationReport::default()
-        };
+        let propagation = self.net.propagate_min_id_uniform(&outcome.rt_members);
         let round_max_delta = outcome.rt_members.iter().map(|&m| self.net.delta(m)).max();
         self.account_heal(
             &outcome.rt_members,
@@ -792,15 +797,9 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
         self.outcome = outcome;
         record.propagation = propagation;
         record.round_max_delta = round_max_delta;
-        record
     }
 
-    fn apply_batch(&mut self, victims: &[NodeId]) -> EventRecord {
-        let mut record = EventRecord::empty(
-            self.report.events,
-            self.report.rounds,
-            EventKind::DeleteBatch,
-        );
+    fn apply_batch(&mut self, victims: &[NodeId], record: &mut EventRecord) {
         let net = &self.net;
         sanitize_batch(
             &mut self.batch,
@@ -808,9 +807,6 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
             |v| net.is_alive(v),
             |u, v| net.graph().has_edge(u, v),
         );
-        if self.batch.is_empty() {
-            return record;
-        }
         self.report.rounds += 1;
         self.report.deletions += self.batch.len() as u64;
         record.round = self.report.rounds;
@@ -842,21 +838,13 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
         record.edges_added = edges_added;
         record.propagation = outcome.propagation;
         record.round_max_delta = round_max_delta;
-        record
     }
 
-    fn apply_join(&mut self, neighbors: &[NodeId]) -> EventRecord {
-        let mut record =
-            EventRecord::empty(self.report.events, self.report.rounds, EventKind::Join);
+    fn apply_join(&mut self, neighbors: &[NodeId], record: &mut EventRecord) {
         let net = &self.net;
         sanitize_join(&mut self.batch, neighbors.iter().copied(), |u| {
             net.is_alive(u)
         });
-        if self.batch.is_empty() && !neighbors.is_empty() {
-            // Every requested attachment died: skip rather than create an
-            // accidental isolated component.
-            return record;
-        }
         let joined = self
             .net
             .join_node(&self.batch)
@@ -865,16 +853,14 @@ impl<H: Healer, S: EventSource> ScenarioEngine<H, S> {
             .expect("sanitized join targets are alive and distinct");
         self.report.joins += 1;
         record.joined = Some(joined);
-        record
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::{MaxNode, NeighborOfMax, Scripted};
+    use crate::attack::MaxNode;
     use crate::dash::Dash;
-    use crate::engine::Engine;
     use crate::naive::NoHeal;
     use crate::sdash::Sdash;
     use rand::rngs::StdRng;
@@ -918,23 +904,6 @@ mod tests {
         assert!(err("delete x").contains("invalid node id 'x'"));
         assert!(err("delete-batch 1 -2").contains("invalid node id '-2'"));
         assert!(err("join 4294967296").contains("invalid node id"));
-    }
-
-    #[test]
-    fn adversary_adapter_matches_legacy_engine_exactly() {
-        let mut legacy = Engine::new(ba_net(48, 5), Dash, NeighborOfMax::new(5));
-        let mut unified = ScenarioEngine::new(ba_net(48, 5), Dash, NeighborOfMax::new(5));
-        let old = legacy.run_to_empty();
-        let new = unified.run_to_empty();
-        assert_eq!(new.rounds, old.rounds);
-        assert_eq!(new.deletions, old.rounds);
-        assert_eq!(new.max_delta_ever, old.max_delta_ever);
-        assert_eq!(new.max_id_changes, old.max_id_changes);
-        assert_eq!(new.max_traffic, old.max_traffic);
-        assert_eq!(new.total_messages, old.total_messages);
-        assert_eq!(new.total_edges_added, old.total_edges_added);
-        assert_eq!(new.total_propagation_latency, old.total_propagation_latency);
-        assert_eq!(new.max_propagation_latency, old.max_propagation_latency);
     }
 
     #[test]
@@ -1055,22 +1024,35 @@ mod tests {
     }
 
     /// A source stuck on dead nodes must fail loudly, not hang
-    /// `run_to_empty` — the unified-engine version of the legacy
-    /// "adversary picked a dead node" panic.
+    /// `run_to_empty`.
     #[test]
     #[should_panic(expected = "made no progress")]
     fn run_to_empty_panics_on_a_no_progress_source() {
         struct StuckOnDead;
-        impl Adversary for StuckOnDead {
+        impl EventSource for StuckOnDead {
             fn name(&self) -> &'static str {
                 "stuck-on-dead"
             }
-            fn pick(&mut self, _net: &HealingNetwork) -> Option<NodeId> {
-                Some(NodeId(0))
+            fn next_event(&mut self, _net: &HealingNetwork) -> Option<NetworkEvent> {
+                Some(NetworkEvent::Delete(NodeId(0)))
             }
         }
         let mut engine = ScenarioEngine::new(ba_net(8, 4), Dash, StuckOnDead);
         engine.run_to_empty();
+    }
+
+    /// Externally applied events never trip the stuck-source panic: a
+    /// flood of dead victims past `NO_PROGRESS_LIMIT` is a run of no-ops.
+    #[test]
+    fn apply_never_panics_on_a_flood_of_dead_victims() {
+        let mut engine = ScenarioEngine::new(ba_net(8, 4), Dash, ScriptedEvents::default());
+        engine.apply(NetworkEvent::Delete(NodeId(0)));
+        for _ in 0..5_000 {
+            let rec = engine.apply(NetworkEvent::Delete(NodeId(0)));
+            assert_eq!((rec.victims, rec.deleted), (0, Some(NodeId(0))));
+        }
+        assert_eq!(engine.report().rounds, 1);
+        assert_eq!(engine.report().events, 5_001);
     }
 
     #[test]
@@ -1095,11 +1077,19 @@ mod tests {
     }
 
     #[test]
-    fn run_events_stops_early() {
+    fn run_events_stops_early_and_step_numbers_the_rest() {
         let mut engine = ScenarioEngine::new(ba_net(20, 2), Dash, MaxNode);
         let report = engine.run_events(5);
         assert_eq!(report.rounds, 5);
         assert_eq!(engine.net.graph().live_node_count(), 15);
+        let mut rounds = 5;
+        while let Some(rec) = engine.step() {
+            rounds += 1;
+            assert_eq!(rec.round, rounds);
+            assert_eq!(engine.net.deletion_count(), rounds);
+        }
+        assert_eq!(rounds, 20);
+        assert!(engine.step().is_none());
     }
 
     #[test]
@@ -1118,8 +1108,8 @@ mod tests {
     #[test]
     fn scripted_run_is_reproducible() {
         let run = || {
-            let mut engine =
-                ScenarioEngine::new(ba_net(24, 9), Dash, Scripted::new((0..24u32).map(NodeId)));
+            let script = (0..24u32).map(|v| NetworkEvent::Delete(NodeId(v)));
+            let mut engine = ScenarioEngine::new(ba_net(24, 9), Dash, ScriptedEvents::new(script));
             let r = engine.run_to_empty();
             (
                 r.rounds,

@@ -64,13 +64,6 @@ pub trait Healer: Send {
     fn preserves_forest(&self) -> bool {
         true
     }
-
-    /// Whether the engine should broadcast minimum component IDs after
-    /// each heal (Algorithm 1, step 5). Strategies with their own
-    /// component oracle (see `crate::oracle`) opt out.
-    fn needs_id_propagation(&self) -> bool {
-        true
-    }
 }
 
 impl<H: Healer + ?Sized> Healer for Box<H> {
@@ -93,10 +86,6 @@ impl<H: Healer + ?Sized> Healer for Box<H> {
 
     fn preserves_forest(&self) -> bool {
         (**self).preserves_forest()
-    }
-
-    fn needs_id_propagation(&self) -> bool {
-        (**self).needs_id_propagation()
     }
 }
 

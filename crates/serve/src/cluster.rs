@@ -146,8 +146,9 @@ impl Cluster {
         Ok(self.readers[self.index_of(tenant)?].clone())
     }
 
-    /// Answer a query from the tenant's *published* snapshot (never
-    /// blocks a heal; at most one epoch stale).
+    /// Answer a query from the tenant's *published* snapshot (takes no
+    /// lock; at most one epoch stale). While the read runs, the shard's
+    /// next publish waits for it.
     pub fn query(&self, tenant: &str, query: Query) -> Result<String, String> {
         let i = self.index_of(tenant)?;
         let (epoch, body) = self.readers[i].read(|snap| answer_body(query, snap));

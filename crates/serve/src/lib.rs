@@ -10,11 +10,12 @@
 //!
 //! - [`snapshot`] — the headline mechanism: an epoch-stamped,
 //!   double-buffered [`SnapSlot`](snapshot::SnapSlot) published with
-//!   atomic swaps, so reads never lock and never block a heal (the
+//!   atomic swaps, so reads never lock; a publish waits only while a
+//!   reader still holds the buffer it is about to refill (the
 //!   publish/read protocol is model-checked in `tests/loom.rs`);
 //! - [`shard`] — one tenant's engine + queue + metrics + auditor, with
-//!   a panic-free request path (hostile streams are rejected or
-//!   skipped, never fed to the engine's no-progress panic);
+//!   a panic-free request path (hostile events are rejected, no-op
+//!   events are counted as skips);
 //! - [`cluster`] — the scheduler: every tick claims each shard exactly
 //!   once on `graph::parallel`'s pool, so final reports are
 //!   byte-identical for any worker count;

@@ -2,16 +2,15 @@
 //! queue, per-tenant metrics, the optional theorem auditor, and the
 //! snapshot writer that publishes queryable state after every tick.
 //!
-//! The shard keeps the request path panic-free by construction:
-//! hostile input is rejected at [`Shard::submit`] with a readable
-//! error (oversized batches, out-of-range ids), and events the engine
-//! would treat as no-ops are counted and skipped *before* they reach
-//! [`ScenarioEngine::apply_with`] — so the engine's
-//! `NO_PROGRESS_LIMIT` stuck-source panic is unreachable no matter
-//! what a client streams at us.
+//! The shard keeps the request path panic-free: hostile input is
+//! rejected at [`Shard::submit`] with a readable error (oversized
+//! batches, out-of-range ids), and every accepted event goes through
+//! `ScenarioEngine::apply_with`, which never panics. Events the engine
+//! treats as no-ops (`scenario::is_noop`) are counted as skips rather
+//! than applied, so they never reach the tenant's event accounting.
 
 use crate::snapshot::{slot_pair, SnapshotReader, SnapshotWriter};
-use selfheal_core::scenario::{NetworkEvent, NullObserver, Observer};
+use selfheal_core::scenario::{is_noop, NetworkEvent, NullObserver, Observer};
 use selfheal_core::snapshot::StateSnapshot;
 use selfheal_core::spec::{AuditSpec, BackendSpec, DynScenarioEngine, ScenarioSpec};
 use selfheal_core::TheoremAuditor;
@@ -159,22 +158,6 @@ impl Shard {
         Ok(())
     }
 
-    /// Would the engine make progress on this event? Mirrors the
-    /// engine's sanitization: a dead single victim, an all-dead batch,
-    /// or a join whose non-empty target list is all dead are no-ops
-    /// (an explicitly empty join creates an isolated node and *does*
-    /// progress).
-    fn would_progress(&self, event: &NetworkEvent) -> bool {
-        let net = &self.engine.net;
-        match event {
-            NetworkEvent::Delete(v) => net.is_alive(*v),
-            NetworkEvent::DeleteBatch(vs) => vs.iter().any(|&v| net.is_alive(v)),
-            NetworkEvent::Join { neighbors } => {
-                neighbors.is_empty() || neighbors.iter().any(|&v| net.is_alive(v))
-            }
-        }
-    }
-
     /// Drain the pending queue through the engine, then publish a fresh
     /// snapshot. Returns `(applied, skipped)` event counts for this
     /// tick. Deterministic: the outcome depends only on the queue
@@ -183,7 +166,8 @@ impl Shard {
         let (mut applied, mut skipped) = (0u64, 0u64);
         let mut null = NullObserver;
         while let Some(event) = self.queue.pop_front() {
-            if !self.would_progress(&event) {
+            let net = &self.engine.net;
+            if is_noop(&event, |v| net.is_alive(v)) {
                 self.stats.observe_skipped();
                 skipped += 1;
                 continue;

@@ -179,10 +179,10 @@ impl<T> Clone for SnapshotReader<T> {
 
 impl<T> SnapshotReader<T> {
     /// Run `f` against the currently published snapshot, returning its
-    /// result tagged with the snapshot's epoch. Never blocks the
-    /// writer's heal path and never observes a torn buffer; retries
-    /// (only when a publish raced the pin) are bounded by publish
-    /// frequency.
+    /// result tagged with the snapshot's epoch. Takes no lock and never
+    /// observes a torn buffer; retries (only when a publish raced the
+    /// pin) are bounded by publish frequency. While `f` runs, the
+    /// writer's next publish waits for it (module docs).
     pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> (usize, R) {
         let slot = &*self.slot;
         loop {

@@ -25,7 +25,7 @@
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(1);
 //! let graph = generators::barabasi_albert(64, 3, &mut rng);
 //! let net = HealingNetwork::new(graph, 1);
-//! // Any adversary is an event source; scripted schedules can mix
+//! // Attack strategies are event sources; scripted schedules can mix
 //! // Delete, DeleteBatch and Join events through the same engine.
 //! let mut engine = ScenarioEngine::new(net, Dash, MaxNode).with_audit(AuditLevel::Cheap);
 //! let report = engine.run_to_empty();
@@ -43,15 +43,14 @@ pub use selfheal_sim as sim;
 /// Most-used items in one import.
 pub mod prelude {
     pub use selfheal_core::attack::{
-        Adversary, CutVertex, EpidemicChurn, FlashCrowd, MaxNode, MinDegree, NeighborOfMax,
-        RackPartition, RandomAttack, Scripted,
+        CutVertex, EpidemicChurn, FlashCrowd, MaxNode, MinDegree, NeighborOfMax, RackPartition,
+        RandomAttack,
     };
     pub use selfheal_core::dash::Dash;
     pub use selfheal_core::distributed::{DistributedDash, HealMode};
     pub use selfheal_core::distributed_runner::{
         DistEventRecord, DistScenarioReport, DistributedScenarioRunner,
     };
-    pub use selfheal_core::engine::{AuditLevel, Engine, EngineReport};
     pub use selfheal_core::exhaustive::{run_universe, SmallGraph, UniverseConfig, UniverseReport};
     pub use selfheal_core::explore::{
         check_seeded_orders, explore_events, ExplorerConfig, ExplorerReport,
@@ -59,12 +58,11 @@ pub mod prelude {
     pub use selfheal_core::ftree::ForgivingTree;
     pub use selfheal_core::invariants::{FamilyAuditor, TheoremAuditor, TheoremBounds};
     pub use selfheal_core::naive::{BinaryTreeHeal, GraphHeal, LineHeal, NoHeal};
-    pub use selfheal_core::oracle::OracleDash;
     pub use selfheal_core::ring::RingForgiving;
     pub use selfheal_core::scenario::{
-        AuditObserver, DegreeBatches, EventKind, EventRecord, EventSource, NetworkEvent,
-        NullObserver, Observer, RandomChurn, RecordLog, ScenarioEngine, ScenarioReport,
-        ScriptedEvents,
+        AuditLevel, AuditObserver, DegreeBatches, EventKind, EventRecord, EventSource,
+        NetworkEvent, NullObserver, Observer, RandomChurn, RecordLog, ScenarioEngine,
+        ScenarioReport, ScriptedEvents,
     };
     pub use selfheal_core::sdash::Sdash;
     pub use selfheal_core::spec::{

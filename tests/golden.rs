@@ -15,19 +15,20 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfheal_core::attack::{MaxNode, NeighborOfMax};
 use selfheal_core::dash::Dash;
-use selfheal_core::engine::Engine;
 use selfheal_core::levelattack::run_level_attack;
-use selfheal_core::scenario::ScenarioEngine;
+use selfheal_core::scenario::{EventSource, ScenarioEngine, ScenarioReport, ScriptedEvents};
 use selfheal_core::sdash::Sdash;
 use selfheal_core::state::HealingNetwork;
+use selfheal_core::strategy::Healer;
 use selfheal_graph::generators::barabasi_albert;
 
 #[test]
 fn golden_dash_maxnode_sweep() {
     let g = barabasi_albert(100, 3, &mut StdRng::seed_from_u64(2008));
-    let mut engine = Engine::new(HealingNetwork::new(g, 2008), Dash, MaxNode);
+    let mut engine = ScenarioEngine::new(HealingNetwork::new(g, 2008), Dash, MaxNode);
     let r = engine.run_to_empty();
     assert_eq!(r.rounds, 100);
+    assert_eq!(r.deletions, 100);
     assert_eq!(
         (
             r.max_delta_ever,
@@ -43,13 +44,14 @@ fn golden_dash_maxnode_sweep() {
 #[test]
 fn golden_sdash_nms_sweep() {
     let g = barabasi_albert(100, 3, &mut StdRng::seed_from_u64(2008));
-    let mut engine = Engine::new(
+    let mut engine = ScenarioEngine::new(
         HealingNetwork::new(g, 2008),
         Sdash,
         NeighborOfMax::new(2008),
     );
     let r = engine.run_to_empty();
     assert_eq!(r.rounds, 100);
+    assert_eq!(r.deletions, 100);
     assert_eq!(
         (
             r.max_delta_ever,
@@ -149,42 +151,37 @@ fn golden_trajectory_expected() -> (u64, u64) {
     (3_217_964_881_233_481_011, 224_464_964_141_436_817)
 }
 
-/// The unified event-driven engine must reproduce the legacy goldens
-/// *exactly* — same RNG streams, tie-breaking, and accounting — proving
-/// the refactor changed structure, not behavior.
+/// The externally applied path — `ScenarioEngine::apply`, the way the
+/// serving shards and the benchmark drive the engine — reproduces the
+/// same goldens as the source-driven `run_to_empty` above.
 #[test]
 fn golden_scenario_engine_matches_legacy_goldens() {
-    let g = barabasi_albert(100, 3, &mut StdRng::seed_from_u64(2008));
-    let mut engine = ScenarioEngine::new(HealingNetwork::new(g, 2008), Dash, MaxNode);
-    let r = engine.run_to_empty();
-    assert_eq!(r.rounds, 100);
-    assert_eq!(r.deletions, 100);
-    assert_eq!(
+    fn applied<H: Healer, S: EventSource>(healer: H, mut source: S) -> ScenarioReport {
+        let g = barabasi_albert(100, 3, &mut StdRng::seed_from_u64(2008));
+        let net = HealingNetwork::new(g, 2008);
+        let mut engine = ScenarioEngine::new(net, healer, ScriptedEvents::default());
+        while let Some(event) = source.next_event(&engine.net) {
+            engine.apply(event);
+        }
+        engine.finish()
+    }
+    for (r, expected) in [
+        (applied(Dash, MaxNode), golden_dash_expected()),
         (
-            r.max_delta_ever,
-            r.max_id_changes,
-            r.total_edges_added,
-            r.total_messages
+            applied(Sdash, NeighborOfMax::new(2008)),
+            golden_sdash_expected(),
         ),
-        golden_dash_expected(),
-        "ScenarioEngine diverged from the DASH/MaxNode golden: {r:?}"
-    );
-
-    let g = barabasi_albert(100, 3, &mut StdRng::seed_from_u64(2008));
-    let mut engine = ScenarioEngine::new(
-        HealingNetwork::new(g, 2008),
-        Sdash,
-        NeighborOfMax::new(2008),
-    );
-    let r = engine.run_to_empty();
-    assert_eq!(
-        (
-            r.max_delta_ever,
-            r.max_id_changes,
-            r.total_edges_added,
-            r.total_messages
-        ),
-        golden_sdash_expected(),
-        "ScenarioEngine diverged from the SDASH/NMS golden: {r:?}"
-    );
+    ] {
+        assert_eq!((r.rounds, r.deletions), (100, 100));
+        assert_eq!(
+            (
+                r.max_delta_ever,
+                r.max_id_changes,
+                r.total_edges_added,
+                r.total_messages
+            ),
+            expected,
+            "apply-driven run diverged from the golden: {r:?}"
+        );
+    }
 }

@@ -229,8 +229,8 @@ fn fleet_reports_violations_with_seeds() {
         ScriptedEvents::default(),
     );
     let mut adversary = MaxNode;
-    while let Some(v) = Adversary::pick(&mut adversary, &engine.net) {
-        engine.apply_with(NetworkEvent::Delete(v), &mut auditor);
+    while let Some(event) = adversary.next_event(&engine.net) {
+        engine.apply_with(event, &mut auditor);
     }
     assert!(!auditor.ok());
     assert!(auditor.violations[0].contains("theorem 1.1"));

@@ -7,12 +7,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use selfheal_core::attack::{Adversary, MaxNode, NeighborOfMax};
+use selfheal_core::attack::{MaxNode, NeighborOfMax};
 use selfheal_core::dash::Dash;
 use selfheal_core::invariants::TheoremAuditor;
 use selfheal_core::levelattack::run_level_attack;
 use selfheal_core::naive::LineHeal;
-use selfheal_core::scenario::ScenarioEngine;
+use selfheal_core::scenario::{EventSource, ScenarioEngine};
 use selfheal_core::state::HealingNetwork;
 use selfheal_core::strategy::Healer;
 use selfheal_graph::generators;
@@ -20,7 +20,7 @@ use selfheal_graph::NodeId;
 
 /// Run DASH against `adversary` to empty under the full auditor and
 /// return (auditor, final max-delta) for bullet-specific assertions.
-fn audited_sweep<A: Adversary>(n: usize, seed: u64, adversary: A) -> (TheoremAuditor, i64) {
+fn audited_sweep<S: EventSource>(n: usize, seed: u64, adversary: S) -> (TheoremAuditor, i64) {
     let g = generators::barabasi_albert(n, 3, &mut StdRng::seed_from_u64(seed));
     let mut auditor = TheoremAuditor::new(Dash.preserves_forest());
     let mut engine = ScenarioEngine::new(HealingNetwork::new(g, seed), Dash, adversary);
